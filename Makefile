@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint bench bench-smoke bench-scale bench-parallel bench-gossip figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint bench bench-smoke bench-check bench-scale bench-parallel bench-gossip figures clean
 
 all: verify
 
@@ -63,9 +63,10 @@ verify-race:
 	$(MAKE) lint
 	$(GO) test -race -timeout 45m ./...
 
-# ci is the full merge gate: verify, verify-race, then the race-enabled
-# benchmark smoke pass. This is what .github/workflows/ci.yml runs.
-ci: verify verify-race bench-smoke
+# ci is the full merge gate: verify, verify-race, the race-enabled
+# benchmark smoke pass and the repository benchmark's own tests. This is
+# what .github/workflows/ci.yml runs.
+ci: verify verify-race bench-smoke bench-check
 
 # bench regenerates the committed kernel benchmark report (figures at the
 # paper's 400 virtual seconds plus the scheduler/simnet microbenchmarks).
@@ -79,6 +80,13 @@ bench:
 bench-smoke:
 	$(GO) test -race -short -run='^$$' -bench=. -benchtime=1x -timeout 20m \
 		. ./internal/sim ./internal/simnet
+
+# bench-check runs the repository benchmark's own tests (perfbench/ is a
+# module of its own, outside ./...): short passes repeat, tracing only
+# observes, and the printed metric names match BENCHMARK.json. A kernel
+# change that breaks the benchmark fails here.
+bench-check:
+	cd perfbench && $(GO) test .
 
 # bench-scale regenerates the committed scale-suite report: committee-mode
 # Algorand at 512, 2048 and 10240 validators driven by flow-aggregated

@@ -64,9 +64,15 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "stabl:", err)
+		reportError(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// reportError prints a failed command's error as one line under the
+// command's name.
+func reportError(w io.Writer, err error) {
+	fmt.Fprintln(w, "stabl:", err)
 }
 
 func run(args []string, out io.Writer) error {

@@ -72,6 +72,31 @@ func TestCLIUnknownSystem(t *testing.T) {
 	}
 }
 
+// TestCLISystemNames pins how -system resolves: any letter case selects the
+// canonical system, and an unknown name fails with one "stabl:" prefix and
+// the canonical names listed.
+func TestCLISystemNames(t *testing.T) {
+	out := runCLI(t, "-system", "redBELLY", "-fault", "none", "run")
+	if !strings.Contains(out, "Redbelly") {
+		t.Fatalf("lower-case system name not resolved to Redbelly: %q", out)
+	}
+	sys, err := stabl.SystemByName("algorand")
+	if err != nil || sys.Name() != "Algorand" {
+		t.Fatalf("SystemByName(algorand) = %v, %v; want the canonical Algorand", sys, err)
+	}
+	var buf strings.Builder
+	err = run([]string{"-system", "Bitcoin", "run"}, &buf)
+	if err == nil {
+		t.Fatal("unknown system accepted")
+	}
+	var msg strings.Builder
+	reportError(&msg, err)
+	want := `stabl: unknown system "Bitcoin" (have Algorand, Aptos, Avalanche, Redbelly, Solana)` + "\n"
+	if msg.String() != want {
+		t.Fatalf("error line = %q, want %q", msg.String(), want)
+	}
+}
+
 func TestCLIUnknownFault(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-fault", "meteor", "run"}, &buf); err == nil {

@@ -216,6 +216,7 @@ func microSuite() []struct {
 		{"SendDegraded", BenchSendDegraded},
 		{"SendPartitionHeavy", BenchSendPartitionHeavy},
 		{"SendChurnHeavy", BenchSendChurnHeavy},
+		{"Broadcast", BenchBroadcast},
 		{"ContextRNG", BenchContextRNG},
 		{"StartAll", BenchStartAll},
 	}

@@ -242,6 +242,36 @@ func BenchSendChurnHeavy(b *testing.B) {
 	reportRate(b, net.Stats().Sent, "msgs/s")
 }
 
+// BenchBroadcast measures one full-mesh broadcast: a sender reaches 1,023
+// peers and the queue drains. Every chain's gossip takes this path, so it is
+// the per-receiver network cost of the scale deployments; steady state must
+// hold zero allocs/op.
+func BenchBroadcast(b *testing.B) {
+	const peers = 1023
+	sched, _, hs := benchNet(peers + 1)
+	ids := make([]simnet.NodeID, peers+1)
+	for i := range ids {
+		ids[i] = simnet.NodeID(i)
+	}
+	var payload any = struct{ X int }{7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hs[0].ctx.Broadcast(ids, payload)
+		for sched.Step() {
+		}
+	}
+	b.StopTimer()
+	delivered := 0
+	for _, h := range hs[1:] {
+		delivered += h.delivered
+	}
+	if delivered != b.N*peers {
+		b.Fatalf("delivered %d, want %d", delivered, b.N*peers)
+	}
+	reportRate(b, uint64(b.N)*peers, "msgs/s")
+}
+
 // BenchContextRNG measures deriving a node-scoped random stream, done by
 // every chain model on every (re)start.
 func BenchContextRNG(b *testing.B) {

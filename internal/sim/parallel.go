@@ -92,6 +92,9 @@ type parRun struct {
 	hooks     []func()
 	stats     ParallelStats
 
+	// cmds and results connect the coordinator to the workers of the
+	// current RunUntil call; each call makes a fresh set, since its workers
+	// exit by the closing of their command channels.
 	cmds    []chan heapEntry // per worker: next window bound
 	results chan parResult
 	active  []int // scratch: busy workers of the current window
@@ -136,17 +139,11 @@ func (s *Scheduler) EnableParallel(laneQueue []int32, workers int, lookahead tim
 		copy(grown, s.laneSeq)
 		s.laneSeq = grown
 	}
-	p := &parRun{
+	s.par = &parRun{
 		workers:   workers,
 		lookahead: lookahead,
-		cmds:      make([]chan heapEntry, workers),
-		results:   make(chan parResult, workers),
 		active:    make([]int, 0, workers),
 	}
-	for i := range p.cmds {
-		p.cmds[i] = make(chan heapEntry, 1)
-	}
-	s.par = p
 }
 
 // DisableParallel reverts an un-started scheduler to the sequential kernel,
@@ -207,11 +204,15 @@ func horizonBound(deadline time.Duration) heapEntry {
 	return heapEntry{at: deadline + 1, lane: math.MinInt32}
 }
 
-// runParallel is RunUntil in parallel mode. Workers are spawned per call
-// and torn down on return, so idle schedulers hold no goroutines.
+// runParallel is RunUntil in parallel mode. Workers and their channels are
+// made per call and torn down on return, so idle schedulers hold no
+// goroutines and a later call starts afresh.
 func (s *Scheduler) runParallel(deadline time.Duration) {
 	p := s.par
+	p.cmds = make([]chan heapEntry, p.workers)
+	p.results = make(chan parResult, p.workers)
 	for w := 1; w <= p.workers; w++ {
+		p.cmds[w-1] = make(chan heapEntry, 1)
 		go worker(s, s.qs[w], w, p.cmds[w-1], p.results)
 	}
 	defer func() {

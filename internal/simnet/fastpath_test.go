@@ -95,29 +95,53 @@ func (h *replyHandler) Deliver(from NodeID, payload any) {
 func (h *replyHandler) Stop() {}
 
 // TestDeliveryPoolReuse checks steady-state traffic recycles delivery
-// events rather than growing the pool, and that reentrant sends from inside
-// Deliver are safe.
+// events and multicast tails rather than growing the pools, for unicast
+// sends and for broadcasts, and that reentrant sends from inside Deliver —
+// while a multicast is still in flight — are safe.
 func TestDeliveryPoolReuse(t *testing.T) {
-	sched := sim.New(1)
-	net := New(sched, Config{Latency: FixedLatency(time.Millisecond)})
-	a := &echoHandler{}
-	b := &replyHandler{} // replies from inside Deliver: reentrant send
-	net.AddNode(0, a)
-	net.AddNode(1, b)
-	net.StartAll()
-	for i := 0; i < 100; i++ {
-		a.ctx.Send(1, i)
-		sched.RunUntil(sched.Now() + 10*time.Millisecond)
-	}
-	if b.got != 100 || len(a.received) != 100 {
-		t.Fatalf("delivered %d/%d messages, want 100/100", b.got, len(a.received))
-	}
-	pooled := 0
-	for d := net.pools[0].free; d != nil; d = d.next {
-		pooled++
-		if pooled > 10 {
-			t.Fatalf("delivery pool grew past %d entries under serial traffic", pooled)
-		}
+	peers := []NodeID{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name    string
+		send    func(ctx *Context, i int)
+		want    int // messages each direction
+		fanouts int // multicast tails ever allocated
+	}{
+		{"send", func(ctx *Context, i int) { ctx.Send(1, i) }, 100, 0},
+		{"broadcast", func(ctx *Context, i int) { ctx.Broadcast(peers, i) }, 300, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.New(1)
+			net := New(sched, Config{Latency: FixedLatency(time.Millisecond)})
+			a := &echoHandler{}
+			net.AddNode(0, a)
+			repliers := make([]*replyHandler, len(peers)-1)
+			for i := range repliers {
+				repliers[i] = &replyHandler{} // replies from inside Deliver: reentrant send
+				net.AddNode(NodeID(i+1), repliers[i])
+			}
+			net.StartAll()
+			for i := 0; i < 100; i++ {
+				tc.send(a.ctx, i)
+				sched.RunUntil(sched.Now() + 10*time.Millisecond)
+			}
+			got := 0
+			for _, r := range repliers {
+				got += r.got
+			}
+			if got != tc.want || len(a.received) != tc.want {
+				t.Fatalf("delivered %d/%d messages, want %d/%d", got, len(a.received), tc.want, tc.want)
+			}
+			pooled := 0
+			for d := net.pools[0].free; d != nil; d = d.next {
+				pooled++
+				if pooled > 10 {
+					t.Fatalf("delivery pool grew past %d entries under serial traffic", pooled)
+				}
+			}
+			if fanouts := len(net.pools[0].fall); fanouts != tc.fanouts {
+				t.Fatalf("fanout pool holds %d tails, want %d", fanouts, tc.fanouts)
+			}
+		})
 	}
 }
 

@@ -22,8 +22,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -198,6 +200,11 @@ type Network struct {
 	// assigned at send time, so injection order is irrelevant).
 	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
 	outbox [][]outMsg
+	// scratch[qi] collects the hops of a broadcast made from queue qi while
+	// they are sorted into multicasts; indexed by the sender's queue so
+	// concurrent partitions never share one. Empty between sends.
+	//stabl:nodet snapshot-fields -- per-call scratch, empty whenever an event is not running
+	scratch [][]hop
 	// virt lazily holds degradation streams for virtual sender ids (see
 	// Context.SendAs): a flow node submitting on behalf of the classic
 	// client it aggregates draws latency/loss/jitter from the member's own
@@ -216,23 +223,76 @@ type virtStreams struct {
 	lat, loss, jit *rand.Rand
 }
 
-// dpool is one queue's delivery pool: a free list plus the registry of every
-// delivery ever allocated (creation order), which Snapshot/Restore rewinds.
+// dpool is one queue's delivery pool: free lists of deliveries and multicast
+// tails plus the registries of every one ever allocated (creation order),
+// which Snapshot/Restore rewinds.
 type dpool struct {
-	free *delivery
-	all  []*delivery
+	free  *delivery
+	all   []*delivery
+	ffree *fanout
+	fall  []*fanout
+}
+
+func (p *dpool) getFanout() *fanout {
+	f := p.ffree
+	if f == nil {
+		f = &fanout{}
+		p.fall = append(p.fall, f)
+	} else {
+		p.ffree = f.next
+		f.next = nil
+	}
+	return f
+}
+
+func (p *dpool) putFanout(f *fanout) {
+	f.hops = f.hops[:0]
+	f.cur = 0
+	f.next = p.ffree
+	p.ffree = f
+}
+
+// hop is one admitted message's receiver: its arrival instant and the seq of
+// its ordering key (the key's lane is the sender's), plus the receiver
+// incarnation the arrival is fenced against.
+type hop struct {
+	at  time.Duration
+	seq uint64
+	dst *endpoint
+	inc uint64
+}
+
+// cmpHop orders one queue's hops by their event keys; the lane is shared.
+func cmpHop(a, b hop) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// cmpHopQueue groups hops by receiving queue, each group in key order.
+func cmpHopQueue(a, b hop) int {
+	if a.dst.qi != b.dst.qi {
+		return cmp.Compare(a.dst.qi, b.dst.qi)
+	}
+	return cmpHop(a, b)
+}
+
+// fanout is a multicast delivery's tail: one queue's receivers of a
+// broadcast in key order, and a cursor at the next one to fire.
+type fanout struct {
+	hops []hop
+	cur  int
+	next *fanout // pool free list
 }
 
 // outMsg is one buffered cross-partition send. The ordering key (at, sender
 // lane, seq) was fixed when the send happened; the barrier only moves the
 // event into the receiver's queue.
 type outMsg struct {
-	at      time.Duration
-	seq     uint64
+	hop
 	from    NodeID
-	dst     *endpoint
 	payload any
-	inc     uint64
 }
 
 type endpoint struct {
@@ -271,6 +331,7 @@ func New(sched *sim.Scheduler, cfg Config) *Network {
 		blockedPairs: make(map[pairKey]int),
 		statsh:       make([]Stats, 1),
 		pools:        make([]dpool, 1),
+		scratch:      make([][]hop, 1),
 	}
 }
 
@@ -341,6 +402,7 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 	for i := 0; i < workers; i++ {
 		n.statsh = append(n.statsh, Stats{})
 		n.pools = append(n.pools, dpool{})
+		n.scratch = append(n.scratch, nil)
 	}
 	n.outbox = make([][]outMsg, workers+1)
 	n.sched.OnBarrier(n.flushOutboxes)
@@ -366,11 +428,12 @@ func (n *Network) DisableParallel() {
 	// free lists would break the per-pool registries. Pre-start (the only
 	// place the fallback runs) no partition pool has allocated anything.
 	for _, p := range n.pools[1:] {
-		if len(p.all) != 0 {
+		if len(p.all) != 0 || len(p.fall) != 0 {
 			panic("simnet: DisableParallel after partition deliveries were pooled")
 		}
 	}
 	n.pools = n.pools[:1]
+	n.scratch = n.scratch[:1]
 	n.outbox = nil
 	for _, ep := range n.nodes {
 		if ep != nil {
@@ -644,6 +707,10 @@ func (n *Network) Blocked(from, to NodeID) bool {
 // reuses a free delivery and schedules the existing closure, so the steady
 // state send path allocates nothing. Each delivery belongs to the pool of
 // the queue it executes on.
+//
+// A delivery with a nil tail carries one message to dst. A multicast — one
+// broadcast's receivers on one queue — keeps them in its tail instead and
+// holds a single queue entry at a time: the next receiver in key order.
 type delivery struct {
 	n       *Network
 	dst     *endpoint
@@ -654,6 +721,7 @@ type delivery struct {
 	qi      int32 // owning pool == executing queue
 	run     func()
 	next    *delivery // pool free list
+	tail    *fanout   // multicast receivers; nil for a single message
 }
 
 func (n *Network) newDelivery(qi int32) *delivery {
@@ -670,16 +738,31 @@ func (n *Network) newDelivery(qi int32) *delivery {
 	return d
 }
 
-// fire executes the arrival. The delivery returns to the pool before the
-// handler runs: all state is copied to locals first, so reentrant sends from
-// inside Deliver can safely reuse it.
+// fire executes one arrival. A multicast first queues its next receiver
+// under that receiver's own send-time key, so the receivers fire exactly
+// where per-receiver events would have. A finished delivery returns to the
+// pool before the handler runs: all state is copied to locals first, so
+// reentrant sends from inside Deliver can safely reuse it.
 func (d *delivery) fire() {
 	n, dst, from, payload, inc, control, qi := d.n, d.dst, d.from, d.payload, d.inc, d.control, d.qi
-	d.dst = nil
-	d.payload = nil
 	p := &n.pools[qi]
-	d.next = p.free
-	p.free = d
+	if f := d.tail; f != nil {
+		h := &f.hops[f.cur]
+		dst, inc = h.dst, h.inc
+		if f.cur++; f.cur < len(f.hops) {
+			h = &f.hops[f.cur]
+			n.sched.ScheduleKeyed(int32(h.dst.id), int32(from), h.seq, h.at, d.run)
+		} else {
+			d.tail = nil
+			p.putFanout(f)
+		}
+	}
+	if d.tail == nil {
+		d.dst = nil
+		d.payload = nil
+		d.next = p.free
+		p.free = d
+	}
 	sh := &n.statsh[qi]
 	if !dst.up || dst.incarnation != inc {
 		if !control {
@@ -731,32 +814,70 @@ func (n *Network) virtual(id NodeID) *virtStreams {
 	return vs
 }
 
-// send is the single application message path; all drops are accounted in
-// stats. The delay is drawn from the sender's streams (or, for SendAs, the
-// virtual sender's) and the ordering key from the physical sender's lane
-// counter at send time, so the resulting delivery is identical no matter
-// which kernel — or which partition interleaving — executes it.
-// Cross-partition sends inside a window go to the outbox.
+// send is the single application message path: admit, then buffer or
+// schedule one delivery. The delay is drawn from the sender's streams (or,
+// for SendAs, the virtual sender's) and the ordering key from the physical
+// sender's lane counter at send time, so the resulting delivery is identical
+// no matter which kernel — or which partition interleaving — executes it.
 func (n *Network) send(from, to NodeID, payload any, vs *virtStreams) {
 	src := n.mustNode(from)
+	if h, ok := n.admit(src, to, vs); ok && !n.outboxed(src, h, payload) {
+		n.deliver(h, from, payload)
+	}
+}
+
+// broadcast sends payload to every peer but src through the same admission
+// as send, peer by peer, so every check, drop counter, RNG draw and key is
+// the one a loop of sends would produce. The admitted receivers then become
+// one multicast delivery per receiving queue.
+func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
+	hs := n.scratch[src.qi][:0]
+	for _, id := range peers {
+		if id == src.id {
+			continue
+		}
+		if h, ok := n.admit(src, id, nil); ok && !n.outboxed(src, h, payload) {
+			hs = append(hs, h)
+		}
+	}
+	order := cmpHop
+	if len(n.pools) > 1 && !n.sched.InWindow() {
+		order = cmpHopQueue // receivers may sit on every queue
+	}
+	slices.SortFunc(hs, order)
+	for rest := hs; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && rest[k].dst.qi == rest[0].dst.qi {
+			k++
+		}
+		n.multicast(rest[:k], src.id, payload)
+		rest = rest[k:]
+	}
+	n.scratch[src.qi] = hs[:0]
+}
+
+// admit makes one message's send-time checks, drop accounting and draws, in
+// the order every send makes them, and returns the receiver's hop; ok is
+// false when the message was dropped.
+func (n *Network) admit(src *endpoint, to NodeID, vs *virtStreams) (h hop, ok bool) {
 	dst := n.mustNode(to)
 	sh := &n.statsh[src.qi]
 	sh.Sent++
 	if !src.up {
 		sh.DroppedSenderDown++
-		return
+		return hop{}, false
 	}
-	if n.Blocked(from, to) {
+	if n.Blocked(src.id, to) {
 		sh.DroppedPartition++
-		return
+		return hop{}, false
 	}
 	if n.conns != nil && !n.conns.allowsEp(src, dst) {
 		sh.DroppedConnDown++
-		return
+		return hop{}, false
 	}
 	if !dst.up {
 		sh.DroppedNodeDown++
-		return
+		return hop{}, false
 	}
 	lat, loss, jit := src.lat, src.loss, src.jit
 	if vs != nil {
@@ -764,23 +885,51 @@ func (n *Network) send(from, to NodeID, payload any, vs *virtStreams) {
 	}
 	if n.lossyIfaces > 0 && n.lost(src, to, loss) {
 		sh.DroppedLoss++
-		return
+		return hop{}, false
 	}
-	at := n.sched.ContextNow(int32(from)) + n.delay(src, to, lat, jit)
-	seq := n.sched.TakeLaneSeq(int32(from))
-	if dst.qi != src.qi && n.sched.InWindow() {
-		n.outbox[src.qi] = append(n.outbox[src.qi], outMsg{
-			at: at, seq: seq, from: from, dst: dst, payload: payload, inc: dst.incarnation,
-		})
-		return
+	at := n.sched.ContextNow(int32(src.id)) + n.delay(src, to, lat, jit)
+	seq := n.sched.TakeLaneSeq(int32(src.id))
+	return hop{at: at, seq: seq, dst: dst, inc: dst.incarnation}, true
+}
+
+// outboxed buffers a cross-partition send made inside a window for the next
+// barrier, reporting whether it did.
+func (n *Network) outboxed(src *endpoint, h hop, payload any) bool {
+	if h.dst.qi == src.qi || !n.sched.InWindow() {
+		return false
 	}
-	d := n.newDelivery(dst.qi)
-	d.dst = dst
+	n.outbox[src.qi] = append(n.outbox[src.qi], outMsg{hop: h, from: src.id, payload: payload})
+	return true
+}
+
+// deliver schedules a single-message delivery for h on its receiver's queue.
+func (n *Network) deliver(h hop, from NodeID, payload any) {
+	d := n.newDelivery(h.dst.qi)
+	d.dst = h.dst
 	d.from = from
 	d.payload = payload
-	d.inc = dst.incarnation
+	d.inc = h.inc
 	d.control = false
-	n.sched.ScheduleKeyed(int32(to), int32(from), seq, at, d.run)
+	n.sched.ScheduleKeyed(int32(h.dst.id), int32(from), h.seq, h.at, d.run)
+}
+
+// multicast schedules hs — one queue's receivers, in key order — as one
+// delivery whose only queue entry is the first receiver's. A lone receiver
+// needs no tail.
+func (n *Network) multicast(hs []hop, from NodeID, payload any) {
+	if len(hs) == 1 {
+		n.deliver(hs[0], from, payload)
+		return
+	}
+	qi := hs[0].dst.qi
+	d := n.newDelivery(qi)
+	f := n.pools[qi].getFanout()
+	f.hops = append(f.hops, hs...)
+	d.from = from
+	d.payload = payload
+	d.control = false
+	d.tail = f
+	n.sched.ScheduleKeyed(int32(hs[0].dst.id), int32(from), hs[0].seq, hs[0].at, d.run)
 }
 
 // flushOutboxes injects every buffered cross-partition send into its
@@ -795,13 +944,7 @@ func (n *Network) flushOutboxes() {
 		}
 		for i := range box {
 			m := &box[i]
-			d := n.newDelivery(m.dst.qi)
-			d.dst = m.dst
-			d.from = m.from
-			d.payload = m.payload
-			d.inc = m.inc
-			d.control = false
-			n.sched.ScheduleKeyed(int32(m.dst.id), int32(m.from), m.seq, m.at, d.run)
+			n.deliver(m.hop, m.from, m.payload)
 			m.dst = nil
 			m.payload = nil
 		}
@@ -897,13 +1040,14 @@ func (c *Context) SendAs(virtual, to NodeID, payload any) {
 }
 
 // Broadcast sends payload to every id in peers except the sender itself.
+// Every receiver is admitted, drawn and keyed exactly as by a Send to it in
+// peer order, but the receivers on one queue share a single multicast
+// delivery (see Network.broadcast).
 func (c *Context) Broadcast(peers []NodeID, payload any) {
-	for _, id := range peers {
-		if id == c.ep.id {
-			continue
-		}
-		c.Send(id, payload)
+	if !c.ep.up {
+		return
 	}
+	c.net.broadcast(c.ep, peers, payload)
 }
 
 // After schedules fn on the node's behalf, on the node's own lane. The

@@ -17,8 +17,8 @@ type epState struct {
 	incarnation uint64
 }
 
-// deliveryState rewinds one pooled delivery. dst and next are pointers into
-// the identity-preserved endpoint table and delivery registry.
+// deliveryState rewinds one pooled delivery. dst, next and tail are
+// pointers into the identity-preserved endpoint table and pool registries.
 type deliveryState struct {
 	dst     *endpoint
 	from    NodeID
@@ -26,6 +26,15 @@ type deliveryState struct {
 	inc     uint64
 	control bool
 	next    *delivery
+	tail    *fanout
+}
+
+// fanoutState rewinds one pooled multicast tail: its cursor and how many of
+// netState.hops are its receivers (copied, the pooled slice is reused).
+type fanoutState struct {
+	hops int
+	cur  int
+	next *fanout
 }
 
 // pairConnState is one managed connection pair's state; the pairState object
@@ -54,6 +63,9 @@ type netState struct {
 	jitterIfaces int
 	deliveries   []deliveryState
 	freeHead     *delivery
+	fanouts      []fanoutState
+	hops         []hop // every tail's receivers, concatenated in registry order
+	fanoutFree   *fanout
 	// virtIDs records which virtual sender streams existed at the
 	// checkpoint (sorted). Streams created after it are truncated out of
 	// the scheduler's registry by its Restore, so the network must drop its
@@ -67,11 +79,12 @@ type netState struct {
 
 // Snapshot captures the network: endpoint liveness and incarnations,
 // partition rules and blocked-pair counts, per-interface degradation tables,
-// every pooled delivery (in-flight or free) and the connection layer's pair
-// states. The node table, contexts, handlers and registries are
-// identity-preserved; the scheduler owns the RNG streams (simnet's per-node
-// latency, loss and jitter streams register there). Checkpoints capture the
-// sequential layout only; the forking API falls back before snapshotting.
+// every pooled delivery and multicast tail (in-flight or free) and the
+// connection layer's pair states. The node table, contexts, handlers and
+// registries are identity-preserved; the scheduler owns the RNG streams
+// (simnet's per-node latency, loss and jitter streams register there).
+// Checkpoints capture the sequential layout only; the forking API falls back
+// before snapshotting.
 func (n *Network) Snapshot() snapshot.State {
 	if len(n.pools) > 1 {
 		panic("simnet: Snapshot requires the sequential network (see DisableParallel)")
@@ -90,6 +103,8 @@ func (n *Network) Snapshot() snapshot.State {
 		jitterIfaces: n.jitterIfaces,
 		deliveries:   make([]deliveryState, len(n.pools[0].all)),
 		freeHead:     n.pools[0].free,
+		fanouts:      make([]fanoutState, len(n.pools[0].fall)),
+		fanoutFree:   n.pools[0].ffree,
 	}
 	for id, r := range n.rules {
 		st.rules[id] = r // rule pair lists are immutable after Partition
@@ -105,8 +120,17 @@ func (n *Network) Snapshot() snapshot.State {
 	for i, d := range n.pools[0].all {
 		st.deliveries[i] = deliveryState{
 			dst: d.dst, from: d.from, payload: d.payload,
-			inc: d.inc, control: d.control, next: d.next,
+			inc: d.inc, control: d.control, next: d.next, tail: d.tail,
 		}
+	}
+	live := 0
+	for _, f := range n.pools[0].fall {
+		live += len(f.hops)
+	}
+	st.hops = make([]hop, 0, live)
+	for i, f := range n.pools[0].fall {
+		st.fanouts[i] = fanoutState{hops: len(f.hops), cur: f.cur, next: f.next}
+		st.hops = append(st.hops, f.hops...)
 	}
 	for id := range n.virt {
 		st.virtIDs = append(st.virtIDs, id)
@@ -180,8 +204,22 @@ func (n *Network) Restore(state snapshot.State) {
 		d.inc = ds.inc
 		d.control = ds.control
 		d.next = ds.next
+		d.tail = ds.tail
 	}
 	p.free = st.freeHead
+	if len(st.fanouts) > len(p.fall) {
+		panic("simnet: Network.Restore state from a different network history")
+	}
+	p.fall = p.fall[:len(st.fanouts)]
+	hops := st.hops
+	for i, f := range p.fall {
+		fs := st.fanouts[i]
+		f.hops = append(f.hops[:0], hops[:fs.hops]...)
+		hops = hops[fs.hops:]
+		f.cur = fs.cur
+		f.next = fs.next
+	}
+	p.ffree = st.fanoutFree
 	if len(n.virt) > len(st.virtIDs) {
 		// Virtual streams created since the checkpoint: the scheduler's
 		// Restore already truncated their sources out of its registry, so

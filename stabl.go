@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"stabl/internal/algorand"
@@ -288,7 +289,7 @@ func ValidateSpec(r io.Reader) (kind string, err error) {
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", fmt.Errorf("stabl: spec is not a JSON object: %w", err)
+		return "", fmt.Errorf("spec is not a JSON object: %w", err)
 	}
 	if _, ok := probe["systems"]; ok {
 		spec, err := campaign.ParseSpec(bytes.NewReader(raw))
@@ -331,13 +332,14 @@ func Systems() []System {
 	return []System{NewAlgorand(), NewAptos(), NewAvalanche(), NewRedbelly(), NewSolana()}
 }
 
-// SystemByName returns a fresh instance of the named blockchain
-// (case-sensitive, as printed by System.Name).
+// SystemByName returns a fresh instance of the named blockchain. Names match
+// case-insensitively; the returned system carries the canonical name that
+// System.Name prints.
 func SystemByName(name string) (System, error) {
 	for _, sys := range Systems() {
-		if sys.Name() == name {
+		if strings.EqualFold(sys.Name(), name) {
 			return sys, nil
 		}
 	}
-	return nil, fmt.Errorf("stabl: unknown system %q (have Algorand, Aptos, Avalanche, Redbelly, Solana)", name)
+	return nil, fmt.Errorf("unknown system %q (have Algorand, Aptos, Avalanche, Redbelly, Solana)", name)
 }
